@@ -17,6 +17,10 @@ Usage:
     python scripts/certify.py [--sf-dir /root/testdata/sf0.01] \
         [--out CORRECTNESS_SELF_r5.json]
 
+The checkout certified is the one this script lives in (its parent's parent
+directory), whatever the current directory; the default ``--out`` is written
+at that checkout's root.
+
 Owns its Ray session (guarded init), per the repo convention that only
 bench.py / CLI entry points / the test fixture initialise Ray.
 """
@@ -27,8 +31,12 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -76,7 +84,7 @@ def _value_hash(rows):
 def certify(sf_dir: str) -> dict:
     import duckdb
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(REPO_ROOT))
     import __ray_entry__ as entry_mod
 
     qs = entry_mod.queries()
@@ -127,11 +135,17 @@ def certify(sf_dir: str) -> dict:
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
-    ap.add_argument("--out", default="CORRECTNESS_SELF_r5.json")
+    ap.add_argument("--out",
+                    default=str(REPO_ROOT / "CORRECTNESS_SELF_r5.json"))
     args = ap.parse_args()
 
     import ray
 
+    # Ray workers import dedup_ray by name; make this checkout importable to
+    # them even when the script is run from another directory.
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT), os.environ.get("PYTHONPATH")) if p
+    )
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False,
                  ignore_reinit_error=True)

@@ -51,16 +51,22 @@ def test_artifact_zero_failures(artifact):
 
 def test_artifact_oracle_coverage_matches(artifact):
     """Every oracle-faced query has a hash-green row; every no-oracle query
-    is explicitly marked so (and really has no SQL face)."""
+    is explicitly marked so (and really has no SQL face). Checked over the
+    live registry as well as the artifact rows, so a registered query with no
+    row fails here too."""
     import sys
 
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
     import __ray_entry__ as e
 
     oracles = set(e.oracle_sql())
-    for name, row in artifact.items():
-        if name == "_meta":
-            continue
+    names = (set(e.queries()) | set(artifact)) - {"_meta"}
+    for name in sorted(names):
+        assert name in artifact, (
+            f"{name} is registered but has no row in CORRECTNESS_SELF_r5.json"
+            " — re-run `python scripts/certify.py` and commit the output"
+        )
+        row = artifact[name]
         if name in oracles:
             assert row["hash_match"] is True, (name, row)
         else:
